@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
+.PHONY: check vet build test race stress bench fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
-check: vet build race fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
+check: vet build race stress fuzz-smoke serve-smoke crash-recovery-smoke admin-smoke profile-smoke overload-smoke fleet-smoke failover-smoke trace-smoke
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +22,15 @@ test:
 # the concurrent metrics registry.
 race:
 	$(GO) test -race ./...
+
+# The race detector over many repetitions of the simulation-core
+# packages: the kernel and its schedule, the VM, the verification
+# workers that share compiled objects, the session core, and the PGAS
+# and flattened co-simulations. A single green run proves little for a
+# race between background goroutines.
+STRESS_COUNT ?= 20
+stress:
+	$(GO) test -race -count=$(STRESS_COUNT) ./internal/sim/ ./internal/vm/ ./internal/verify/ ./internal/core/ ./internal/pgas/ ./internal/flatsim/
 
 # Small-configuration benchmarks (cmd/lsbench runs the full sweeps).
 bench:

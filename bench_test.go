@@ -99,6 +99,29 @@ func BenchmarkFig7SimLiveSim(b *testing.B) {
 	}
 }
 
+// BenchmarkSimNew is the kernel's build cost at 2x2: instantiating the
+// hierarchy and compiling its settle schedule (the same schedule compile
+// runs again at every hot reload).
+func BenchmarkSimNew(b *testing.B) {
+	objs, top, err := pgas.Build(4, codegen.StyleGrouped)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := sim.ResolverFunc(func(k string) (*vm.Object, error) {
+		if o, ok := objs[k]; ok {
+			return o, nil
+		}
+		return nil, fmt.Errorf("no object %q", k)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.New(r, top); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFig7SimFlat(b *testing.B) {
 	for _, n := range []int{1, 4} {
 		b.Run(pgasName(n), func(b *testing.B) {

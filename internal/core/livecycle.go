@@ -308,10 +308,7 @@ func (s *Session) ApplyChange(newSrc liveparser.Source) (*ChangeReport, error) {
 // into the pipe; nil cp resets to the power-on state.
 func (s *Session) restoreFromCheckpoint(p *Pipe, cp *checkpoint.Checkpoint) error {
 	if cp == nil {
-		for _, n := range p.Sim.Nodes() {
-			n.Inst.ZeroState()
-		}
-		p.Sim.SetCycle(0)
+		p.Sim.ZeroState()
 		for h := range p.tbs {
 			p.tbs[h] = s.tbFactory[h]()
 		}

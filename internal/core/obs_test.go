@@ -135,7 +135,8 @@ func TestLiveLoopObservability(t *testing.T) {
 		"compile_builds", "compile_cache_hits", "compile_compiled",
 		"checkpoint_takes", "session_runs", "session_cycles_run",
 		"changes_applied", "objects_swapped", "verify_runs",
-		"sim_ticks", "sim_settle_calls",
+		"sim_ticks", "sim_settle_calls", "sim_settle_passes",
+		"sim_comb_evals", "sim_wire_copies",
 	}
 	for _, name := range wantPositive {
 		if snap.Counters[name] == 0 {

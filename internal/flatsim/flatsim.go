@@ -250,7 +250,7 @@ func NewSim(obj *vm.Object) *Sim {
 		inst.MemBases[i] = base
 		base += uint64(len(inst.Mems[i])*8+63) &^ 63
 	}
-	obj.BaseAddr = 0x10000
+	inst.CodeBase = 0x10000
 	return &Sim{Obj: obj, Inst: inst}
 }
 

@@ -2,6 +2,7 @@ package flatsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"livesim/internal/codegen"
@@ -219,5 +220,122 @@ func TestFlatMeshTokenRing(t *testing.T) {
 	}
 	if a0 != n {
 		t.Errorf("token %d want %d", a0, n)
+	}
+}
+
+// TestFlatPGASMeshEveryTick co-simulates the hierarchical 2x2 mesh
+// against the flattened one one cycle at a time, comparing every
+// register of every instance after each clock edge and every memory
+// every 64 cycles and at the end. The token ring and the reduction both
+// move values across nodes, so they cover the fabric's cross-node paths.
+func TestFlatPGASMeshEveryTick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const n = 4
+	for _, prog := range []struct {
+		name   string
+		images func(int) ([][]uint64, error)
+	}{
+		{"tokenring", pgas.TokenRingImages},
+		{"reduce", pgas.ReduceImages},
+	} {
+		t.Run(prog.name, func(t *testing.T) {
+			images, err := prog.images(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs, err := pgas.NewSim(n, codegen.StyleGrouped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := elaborate(t, pgas.DesignSource(n), pgas.TopName(n))
+			obj, err := Compile(d, codegen.StyleMux)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := NewSim(obj)
+			for i := 0; i < n; i++ {
+				if err := pgas.LoadImage(hs, n, i, images[i]); err != nil {
+					t.Fatal(err)
+				}
+				for w, v := range images[i] {
+					if err := fs.PokeMem(fmt.Sprintf("n%d.u_mem.mem", i), uint64(w), v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			// Pair every hierarchical register and memory with its
+			// flattened copy.
+			flatRegs := map[string]uint32{}
+			for _, r := range obj.Regs {
+				flatRegs[r.Name] = r.Cur
+			}
+			type pair struct {
+				name       string
+				hier       *uint64
+				flat       *uint64
+				hmem, fmem []uint64
+			}
+			var regs, mems []pair
+			for _, nd := range hs.Nodes() {
+				prefix := strings.ReplaceAll(strings.TrimPrefix(nd.Path, "top"), ".", "__")
+				prefix = strings.TrimPrefix(prefix, "__")
+				if prefix != "" {
+					prefix += "__"
+				}
+				for _, r := range nd.Obj.Regs {
+					fslot, ok := flatRegs[prefix+r.Name]
+					if !ok {
+						t.Fatalf("no flat register for %s.%s", nd.Path, r.Name)
+					}
+					regs = append(regs, pair{name: nd.Path + "." + r.Name, hier: &nd.Inst.Slots[r.Cur], flat: &fs.Inst.Slots[fslot]})
+				}
+				for _, m := range nd.Obj.Mems {
+					fm := obj.MemByName(prefix + m.Name)
+					if fm == nil {
+						t.Fatalf("no flat memory for %s.%s", nd.Path, m.Name)
+					}
+					mems = append(mems, pair{name: nd.Path + "." + m.Name, hmem: nd.Inst.Mems[m.Index], fmem: fs.Inst.Mems[fm.Index]})
+				}
+			}
+			checkMems := func(cycle uint64) {
+				for _, m := range mems {
+					for a := range m.hmem {
+						if m.hmem[a] != m.fmem[a] {
+							t.Fatalf("cycle %d: %s[%d] hierarchical %#x flat %#x", cycle, m.name, a, m.hmem[a], m.fmem[a])
+						}
+					}
+				}
+			}
+
+			halted := false
+			for hs.Cycle() < 30000 && !halted {
+				if err := hs.Tick(1); err != nil {
+					t.Fatal(err)
+				}
+				fs.Tick(1)
+				for _, r := range regs {
+					if *r.hier != *r.flat {
+						t.Fatalf("cycle %d: %s hierarchical %#x flat %#x", hs.Cycle(), r.name, *r.hier, *r.flat)
+					}
+				}
+				if hs.Cycle()%64 == 0 {
+					checkMems(hs.Cycle())
+				}
+				if halted, err = pgas.HaltedAll(hs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !halted {
+				t.Fatal("hierarchical mesh did not halt")
+			}
+			if v, _ := fs.Out("halted_all"); v != 1 {
+				t.Fatal("flat mesh did not halt in the same cycle")
+			}
+			checkMems(hs.Cycle())
+			t.Logf("%d registers and %d memories matched for %d cycles", len(regs), len(mems), hs.Cycle())
+		})
 	}
 }

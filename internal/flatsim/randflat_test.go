@@ -42,6 +42,89 @@ module top (input clk, input [7:0] x, output [7:0] y0, y1);
   s u0 (.clk(clk), .d(x), .o(y0));
   s u1 (.clk(clk), .d(x + 8'd3), .o(y1));
 endmodule`,
+		// A pass-through parent with an empty comb program carries a
+		// sibling-to-sibling comb chain, and its outputs are child outputs.
+		`
+module f (input [7:0] a, output [7:0] b);
+  assign b = {a[6:0], a[7]} ^ 8'h5a;
+endmodule
+module r (input clk, input [7:0] d, output reg [7:0] q);
+  always @(posedge clk) q <= q + d;
+endmodule
+module pass (input clk, input [7:0] i, output [7:0] o, output [7:0] acc);
+  wire [7:0] m1, m2;
+  f u0 (.a(i), .b(m1));
+  f u1 (.a(m1), .b(m2));
+  r u2 (.clk(clk), .d(m2), .q(acc));
+  f u3 (.a(m2), .b(o));
+endmodule
+module top (input clk, input [7:0] x, output [7:0] y0, y1);
+  pass p (.clk(clk), .i(x), .o(y0), .acc(y1));
+endmodule`,
+		// Inputs read only by the seq program, one of them fed back from
+		// the instance's own output.
+		`
+module sq (input clk, input [7:0] d, input [7:0] e, output reg [7:0] q, output [7:0] c);
+  always @(posedge clk) q <= d + e;
+  assign c = q ^ 8'h33;
+endmodule
+module top (input clk, input [7:0] x, output [7:0] y0, y1);
+  wire [7:0] c0, q0;
+  sq u0 (.clk(clk), .d(x), .e(c0), .q(q0), .c(c0));
+  sq u1 (.clk(clk), .d(q0), .e(x), .q(y0), .c(y1));
+endmodule`,
+		// Expression port connections: the parent's comb program holds
+		// glue logic between two comb children.
+		`
+module g (input [7:0] a, input [7:0] b, output [7:0] s);
+  assign s = a + b;
+endmodule
+module top (input clk, input [7:0] x, output [7:0] y0, y1);
+  wire [7:0] s0, s1;
+  reg [7:0] r;
+  g u0 (.a(x), .b(r), .s(s0));
+  g u1 (.a(s0 ^ {x[3:0], x[7:4]}), .b(r + 8'd3), .s(s1));
+  always @(posedge clk) r <= s1;
+  assign y0 = s1;
+  assign y1 = r;
+endmodule`,
+		// An output reg drives a sibling and the parent's comb.
+		`
+module oreg (input clk, input [7:0] d, output reg [7:0] q);
+  always @(posedge clk) q <= d + q;
+endmodule
+module top (input clk, input [7:0] x, output [7:0] y0, y1);
+  wire [7:0] q0, q1;
+  oreg u0 (.clk(clk), .d(x), .q(q0));
+  oreg u1 (.clk(clk), .d(q0), .q(q1));
+  assign y0 = q1;
+  assign y1 = q0 ^ q1;
+endmodule`,
+		// A comb chain three instances deep, down and back up the
+		// hierarchy, twice in series, closed by a register.
+		`
+module l3 (input [7:0] a, output [7:0] b);
+  assign b = a * 8'd3 + 8'd1;
+endmodule
+module l2 (input [7:0] a, output [7:0] b);
+  wire [7:0] t;
+  l3 u (.a(a ^ 8'h0f), .b(t));
+  assign b = t + a;
+endmodule
+module l1 (input [7:0] a, output [7:0] b);
+  wire [7:0] t;
+  l2 u (.a(a + 8'd7), .b(t));
+  assign b = {t[3:0], t[7:4]};
+endmodule
+module top (input clk, input [7:0] x, output [7:0] y0, y1);
+  reg [7:0] r;
+  wire [7:0] c0, c1;
+  l1 u0 (.a(x ^ r), .b(c0));
+  l1 u1 (.a(c0), .b(c1));
+  always @(posedge clk) r <= c1;
+  assign y0 = c1;
+  assign y1 = r;
+endmodule`,
 	}
 	for di, src := range designs {
 		src := src

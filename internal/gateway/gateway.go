@@ -136,6 +136,7 @@ type Gateway struct {
 	connWG   sync.WaitGroup
 	stop     chan struct{}
 	stopOnce sync.Once
+	flusher  sync.WaitGroup // the black-box flusher, joined by Shutdown
 }
 
 // route is where one session lives, plus the freeze latch a migration
@@ -279,6 +280,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		os.MkdirAll(g.cfg.BlackboxDir, 0o755)
 		g.bootBlackbox = obs.BlackboxPath(g.cfg.BlackboxDir, time.Now())
+		g.flusher.Add(1)
 		go g.blackboxFlusher()
 	}
 	return g, nil
@@ -351,6 +353,9 @@ func (g *Gateway) discover(b *backend) {
 		return
 	}
 	for _, info := range infos {
+		if info.Evicting {
+			continue // on its way out; nothing to route to
+		}
 		if info.Follower {
 			// A follower is the replication standby's hot copy, not a
 			// second primary: never a conflict, never swept. Learn it as
@@ -1050,6 +1055,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		ln.Close()
 	}
 	g.stopOnce.Do(func() { close(g.stop) })
+	g.flusher.Wait()
 
 	done := make(chan struct{})
 	go func() {

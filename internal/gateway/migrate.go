@@ -336,6 +336,9 @@ func (g *Gateway) drainBackendTraced(addr, trace, parentSID string) (*DrainBacke
 	sort.Slice(infos, func(i, j int) bool { return infos[i].WALBytes < infos[j].WALBytes })
 
 	for _, info := range infos {
+		if info.Evicting {
+			continue // leaving the backend on its own; nothing to migrate
+		}
 		g.mu.Lock()
 		if g.routes[info.Name] == nil {
 			g.routes[info.Name] = &route{backend: b}

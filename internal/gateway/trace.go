@@ -250,8 +250,10 @@ func (g *Gateway) blackbox(reason, session, trace, msg string) {
 
 // blackboxFlusher periodically rewrites this boot's blackbox file while
 // the ring is dirty — the record that survives a SIGKILL. Stops when
-// Shutdown closes g.stop.
+// Shutdown closes g.stop; Shutdown then waits on g.flusher so the final
+// dump lands before it returns.
 func (g *Gateway) blackboxFlusher() {
+	defer g.flusher.Done()
 	tick := time.NewTicker(g.cfg.BlackboxFlushEvery)
 	defer tick.Stop()
 	var flushed uint64

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"livesim/internal/codegen"
+	"livesim/internal/sim"
+	"livesim/internal/verify"
 )
 
 func TestMeshObjectSharing(t *testing.T) {
@@ -153,5 +155,64 @@ func TestStylesAgreeOnCompute(t *testing.T) {
 	}
 	if results[codegen.StyleGrouped] != results[codegen.StyleMux] {
 		t.Errorf("styles disagree: %v", results)
+	}
+}
+
+// TestSnapshotReplayStateEqual: a 2x2 compute run restored from a
+// mid-run snapshot into a fresh simulation replays to exactly the state
+// of the uninterrupted run, and a simulation put back to its power-on
+// state with Sim.ZeroState replays exactly as a newly built one.
+func TestSnapshotReplayStateEqual(t *testing.T) {
+	const n = 4
+	images, err := ComputeImages(n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *sim.Sim {
+		s, err := NewSim(n, codegen.StyleGrouped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := LoadImage(s, n, i, images[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	tick := func(s *sim.Sim, cycles int) {
+		if err := s.Tick(cycles); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ref := fresh()
+	tick(ref, 300)
+	mid := ref.Snapshot()
+	tick(ref, 400)
+
+	restored, err := NewSim(n, codegen.StyleGrouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(mid); err != nil {
+		t.Fatal(err)
+	}
+	tick(restored, 400)
+	if eq, diff := verify.StateEqual(ref.Snapshot(), restored.Snapshot()); !eq {
+		t.Errorf("restored replay differs: %s", diff)
+	}
+
+	zeroed := fresh()
+	tick(zeroed, 250)
+	zeroed.ZeroState()
+	for i := 0; i < n; i++ {
+		if err := LoadImage(zeroed, n, i, images[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick(zeroed, 700)
+	if eq, diff := verify.StateEqual(ref.Snapshot(), zeroed.Snapshot()); !eq {
+		t.Errorf("replay after ZeroState differs from a fresh run: %s", diff)
 	}
 }

@@ -188,6 +188,9 @@ func (s *Server) importSession(req *Request) *Response {
 	case s.sessions[name] != nil:
 		s.mu.Unlock()
 		return errResp(req, CodeBadRequest, fmt.Errorf("session %q already exists", name))
+	case s.evicting[name]:
+		s.mu.Unlock()
+		return errResp(req, CodeBadRequest, fmt.Errorf("session %q is being evicted; retry shortly", name))
 	case len(s.sessions) >= s.cfg.MaxSessions:
 		s.mu.Unlock()
 		s.reg.Counter("server_session_limit_rejects").Inc()
@@ -428,6 +431,7 @@ func (s *Server) Halt() {
 		c.nc.Close()
 	}
 	s.stopOnce.Do(func() { close(s.janitorStop) })
+	s.flusherWG.Wait()
 	for _, h := range hs {
 		close(h.queue)
 		if !waitClosed(h.stopped, 2*time.Second) {

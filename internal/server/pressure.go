@@ -314,6 +314,7 @@ func (s *Server) memGovern() {
 			continue
 		}
 		delete(s.sessions, h.name)
+		s.evicting[h.name] = true
 		victims = append(victims, c)
 		total -= c.mem
 	}

@@ -223,6 +223,11 @@ type SessionInfo struct {
 	// it after a restart (all session verbs rejected).
 	Quarantined bool `json:"quarantined,omitempty"`
 	Recovering  bool `json:"recovering,omitempty"`
+	// Evicting is set on a session the idle janitor or the memory
+	// governor has unlinked but whose checkpoint and journal watermark
+	// are still being written; it carries no other fields and
+	// disappears from the listing once the eviction has finished.
+	Evicting bool `json:"evicting,omitempty"`
 	// Nondurable is set while the session's journal is paused (disk
 	// pressure or repeated append failures): it keeps serving from
 	// memory, but mutations made now would not survive a crash until the

@@ -185,6 +185,10 @@ type Server struct {
 
 	mu        sync.Mutex
 	sessions  map[string]*hosted
+	// evicting holds the names of sessions an eviction has unlinked but
+	// not yet checkpointed and released. They stay listed, and their
+	// names stay reserved, until the eviction has finished.
+	evicting map[string]bool
 	conns     map[*conn]bool
 	listeners map[net.Listener]bool
 	draining  bool
@@ -202,6 +206,7 @@ type Server struct {
 	recoveryWG  sync.WaitGroup // outstanding Recover goroutines
 	janitorStop chan struct{}
 	stopOnce    sync.Once
+	flusherWG   sync.WaitGroup // the black-box flusher, joined by Shutdown and Halt
 
 	// Resource governance (internal/govern): the global admission
 	// budget, the disk-pressure monitor (nil without a StateDir), the
@@ -271,6 +276,7 @@ func New(cfg Config) *Server {
 		start:       time.Now(),
 		verbWins:    make(map[string]*obs.Window),
 		sessions:    make(map[string]*hosted),
+		evicting:    make(map[string]bool),
 		conns:       make(map[*conn]bool),
 		listeners:   make(map[net.Listener]bool),
 		moved:       make(map[string]movedEntry),
@@ -323,6 +329,7 @@ func New(cfg Config) *Server {
 		}
 		os.MkdirAll(s.cfg.BlackboxDir, 0o755)
 		s.bootBlackbox = obs.BlackboxPath(s.cfg.BlackboxDir, time.Now())
+		s.flusherWG.Add(1)
 		go s.blackboxFlusher()
 	}
 	return s
@@ -763,8 +770,11 @@ func (s *Server) sessionCount() int {
 
 func (s *Server) listSessions(req *Request) *Response {
 	s.mu.Lock()
-	names := make([]string, 0, len(s.sessions))
+	names := make([]string, 0, len(s.sessions)+len(s.evicting))
 	for n := range s.sessions {
+		names = append(names, n)
+	}
+	for n := range s.evicting {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -772,6 +782,11 @@ func (s *Server) listSessions(req *Request) *Response {
 	var out strings.Builder
 	for _, n := range names {
 		h := s.sessions[n]
+		if h == nil { // unlinked, its eviction still saving
+			infos = append(infos, SessionInfo{Name: n, Evicting: true})
+			fmt.Fprintf(&out, "  %-16s EVICTING\n", n)
+			continue
+		}
 		if h.sess == nil { // still being created
 			continue
 		}
@@ -978,6 +993,11 @@ func (s *Server) createSession(req *Request) *Response {
 	case s.sessions[name] != nil:
 		s.mu.Unlock()
 		return errResp(req, CodeBadRequest, fmt.Errorf("session %q already exists", name))
+	case s.evicting[name]:
+		// The eviction is still writing this name's checkpoint and
+		// journal watermark; a new session must not race those writes.
+		s.mu.Unlock()
+		return errResp(req, CodeBadRequest, fmt.Errorf("session %q is being evicted; retry shortly", name))
 	case len(s.sessions) >= s.cfg.MaxSessions:
 		s.mu.Unlock()
 		s.reg.Counter("server_session_limit_rejects").Inc()
@@ -1178,6 +1198,7 @@ func (s *Server) evictIdle() {
 	for name, h := range s.sessions {
 		if h.sess != nil && !h.recovering.Load() && len(h.queue) == 0 && h.idle() > s.cfg.IdleTimeout {
 			delete(s.sessions, name)
+			s.evicting[name] = true
 			victims = append(victims, h)
 		}
 	}
@@ -1189,7 +1210,7 @@ func (s *Server) evictIdle() {
 
 // evictHosted shuts one already-unlinked session down and reclaims its
 // memory: stop the worker, checkpoint if dirty, watermark + release the
-// journal. Shared by the idle janitor and the memory governor's shed
+// journal, then release the name its caller reserved in s.evicting. Shared by the idle janitor and the memory governor's shed
 // path — eviction only reclaims memory; a journaled session resurrects
 // at the next daemon boot, and a re-create over the same name clears
 // the stale state first.
@@ -1210,6 +1231,9 @@ func (s *Server) evictHosted(h *hosted, why string) {
 		}
 		h.wal.Close()
 	}
+	s.mu.Lock()
+	delete(s.evicting, h.name)
+	s.mu.Unlock()
 	s.reg.Counter("server_sessions_evicted").Inc()
 }
 
@@ -1260,6 +1284,7 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		ln.Close()
 	}
 	s.stopOnce.Do(func() { close(s.janitorStop) })
+	s.flusherWG.Wait()
 
 	rep := &DrainReport{}
 	inflightDone := make(chan struct{})

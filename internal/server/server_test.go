@@ -320,10 +320,13 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatalf("wanted timeout, got ok=%v code=%q err=%q", resp.OK, resp.Code, resp.Error)
 	}
 
-	close(gateCh)
+	// The parked request's deadline passed before the queued one's. Take
+	// its answer while the worker is still parked, so its late result
+	// cannot race the timer to the reply.
 	if r := <-blockRes; r.OK || r.Code != server.CodeTimeout {
 		t.Fatalf("parked request should time out too, got %+v", r)
 	}
+	close(gateCh)
 	// The worker drained both stale tasks; a fresh request must succeed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -86,8 +86,10 @@ func (s *Server) blackbox(reason, session, trace, msg string) {
 // the ring is dirty. Trigger dumps cover crashes the process can see;
 // the flusher's last write is the record for the ones it can't
 // (SIGKILL, OOM kill, kernel panic). Stops with the janitor: both
-// Shutdown and Halt close janitorStop exactly once.
+// Shutdown and Halt close janitorStop exactly once, then wait on
+// flusherWG so the final dump lands before they return.
 func (s *Server) blackboxFlusher() {
+	defer s.flusherWG.Done()
 	tick := time.NewTicker(s.cfg.BlackboxFlushEvery)
 	defer tick.Stop()
 	var flushed uint64

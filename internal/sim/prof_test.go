@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"livesim/internal/codegen"
+	"livesim/internal/obs"
 	"livesim/internal/prof"
 	"livesim/internal/vm"
 )
@@ -227,4 +228,47 @@ func pathsOf(s *prof.Snapshot) []string {
 		out[i] = st.Path
 	}
 	return out
+}
+
+// TestKernelCounters: the settle counters agree with the activity
+// profiler (one comb evaluation per instance visit) and with the compiled
+// schedule (every visit runs the instance's whole out-wire list).
+func TestKernelCounters(t *testing.T) {
+	objs, top := buildDesign(t, combChainSrc, "wrap", codegen.StyleGrouped)
+	reg := obs.NewRegistry()
+	s, err := New(tableResolver(objs), top, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prof.New()
+	s.SetProfiler(p)
+	wiresPerEval := map[int]uint64{}
+	for _, n := range s.Nodes() {
+		wiresPerEval[n.idx] = uint64(len(n.wires))
+	}
+	for i := uint64(0); i < 20; i++ {
+		s.SetIn("a", i*7)
+		if err := s.Tick(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evals := reg.Counter("sim_comb_evals").Value()
+	copies := reg.Counter("sim_wire_copies").Value()
+	if tot := p.Totals(); evals == 0 || evals != tot.CombEvals {
+		t.Errorf("sim_comb_evals %d, activity profiler counted %d comb evals", evals, tot.CombEvals)
+	}
+	var want uint64
+	for _, st := range p.Snapshot().Insts {
+		n, err := s.FindNode(st.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += st.CombEvals * wiresPerEval[n.idx]
+	}
+	if copies == 0 || copies != want {
+		t.Errorf("sim_wire_copies %d, want %d (comb evals x out-wires)", copies, want)
+	}
+	if passes := reg.Counter("sim_settle_passes").Value(); passes < reg.Counter("sim_settle_calls").Value() {
+		t.Errorf("sim_settle_passes %d below sim_settle_calls", passes)
+	}
 }

@@ -6,10 +6,17 @@
 //
 // The kernel keeps the paper's structure: objects are shared, instances
 // hold only state, and module boundaries are preserved at run time (no
-// cross-module inlining). Combinational values that cross module
-// boundaries are settled by fixed-point iteration over the instance tree;
-// within a module the compiler has already levelized, so the loop
-// converges in as many passes as the deepest cross-module comb chain.
+// cross-module inlining). Within a module the compiler has already
+// levelized the comb program. Across modules, the kernel compiles the
+// port bindings into a settle schedule whenever the hierarchy is built or
+// reloaded (schedule.go): a flat list of wires per instance, in which
+// pure pass-through wiring is already flattened; the set of input slots
+// each object's comb program actually reads; and a topological rank of
+// the instances over the resulting dependency graph, with cycles
+// through module boundaries condensed. A settle is then one sweep in
+// rank order that evaluates only the instances whose comb inputs
+// changed, and only a cycle through module boundaries makes it sweep
+// again.
 package sim
 
 import (
@@ -50,11 +57,19 @@ type Node struct {
 
 	// idx is the node's position in the pre-order index, maintained by
 	// rebuildIndex; the activity profiler keys its per-instance counters
-	// on it so the hot path never does a map lookup.
-	idx int
+	// on it so the hot path never does a map lookup. pos is the node's
+	// position in its parent's Children, sched its object's record.
+	idx   int
+	pos   int
+	sched *objSched
 
-	// dirty marks that an input or internal state changed since the last
-	// combinational evaluation (event-driven settle).
+	// rank is the node's position in the settle order, and wires are the
+	// port copies that follow its comb evaluation (compileSchedule).
+	rank  int
+	wires []wire
+
+	// dirty marks that a comb-read input or internal state changed since
+	// the last combinational evaluation.
 	dirty bool
 }
 
@@ -62,7 +77,7 @@ type Node struct {
 type Sim struct {
 	Root *Node
 
-	// MaxSettle bounds the cross-module fixed-point; exceeding it means a
+	// MaxSettle bounds the settle sweeps; exceeding it means a
 	// combinational loop through module boundaries.
 	MaxSettle int
 
@@ -76,7 +91,12 @@ type Sim struct {
 	resolver Resolver
 	output   io.Writer
 	nodes    []*Node // pre-order
+	order    []*Node // settle order (by rank)
 
+	// objs holds the per-Sim record of every instantiated object: its
+	// modeled code address and the slots its comb program reads.
+	objs     map[*vm.Object]*objSched
+	gen      uint64 // schedule compiles so far
 	codeBase uint64
 	dataBase uint64
 
@@ -90,6 +110,8 @@ type Sim struct {
 	cTicks        *obs.Counter
 	cSettleCalls  *obs.Counter
 	cSettlePasses *obs.Counter
+	cCombEvals    *obs.Counter
+	cWireCopies   *obs.Counter
 	cReloads      *obs.Counter
 	cSwappedInsts *obs.Counter
 }
@@ -101,8 +123,10 @@ type Option func(*Sim)
 func WithOutput(w io.Writer) Option { return func(s *Sim) { s.output = w } }
 
 // WithMetrics reports kernel activity (sim_ticks, sim_settle_calls,
-// sim_settle_passes, sim_reloads, sim_swapped_instances) into reg. A nil
-// registry keeps the hot path at its uninstrumented cost.
+// sim_settle_passes, sim_comb_evals, sim_wire_copies, sim_reloads,
+// sim_swapped_instances) into reg. The settle counters are added once per
+// settle call from local counts. A nil registry keeps the hot path at
+// its uninstrumented cost.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Sim) {
 		if reg == nil {
@@ -111,6 +135,8 @@ func WithMetrics(reg *obs.Registry) Option {
 		s.cTicks = reg.Counter("sim_ticks")
 		s.cSettleCalls = reg.Counter("sim_settle_calls")
 		s.cSettlePasses = reg.Counter("sim_settle_passes")
+		s.cCombEvals = reg.Counter("sim_comb_evals")
+		s.cWireCopies = reg.Counter("sim_wire_copies")
 		s.cReloads = reg.Counter("sim_reloads")
 		s.cSwappedInsts = reg.Counter("sim_swapped_instances")
 	}
@@ -121,6 +147,7 @@ func New(r Resolver, topKey string, opts ...Option) (*Sim, error) {
 	s := &Sim{
 		MaxSettle: 64,
 		resolver:  r,
+		objs:      make(map[*vm.Object]*objSched),
 		codeBase:  0x10000,
 		dataBase:  0x100000000,
 	}
@@ -142,10 +169,6 @@ func (s *Sim) build(key, name string, parent *Node) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if obj.BaseAddr == 0 {
-		obj.BaseAddr = s.codeBase
-		s.codeBase += uint64(obj.CodeBytes()+4095) &^ 4095
-	}
 	n := &Node{Name: name, Obj: obj, Inst: s.newInstance(obj), parent: parent}
 	if parent != nil {
 		n.Path = parent.Path + "." + name
@@ -162,10 +185,12 @@ func (s *Sim) build(key, name string, parent *Node) (*Node, error) {
 	return n, nil
 }
 
-// newInstance creates an instance with modeled data addresses assigned.
+// newInstance creates an instance with modeled code and data addresses
+// assigned.
 func (s *Sim) newInstance(obj *vm.Object) *vm.Instance {
 	inst := vm.NewInstance(obj)
 	inst.Output = s.output
+	inst.CodeBase = s.objSched(obj).codeBase
 	inst.DataBase = s.dataBase
 	s.dataBase += uint64(obj.NumSlots*8+63) &^ 63
 	for i := range inst.Mems {
@@ -180,12 +205,15 @@ func (s *Sim) rebuildIndex() {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		n.idx = len(s.nodes)
+		n.sched = s.objSched(n.Obj)
 		s.nodes = append(s.nodes, n)
-		for _, c := range n.Children {
+		for i, c := range n.Children {
+			c.pos = i
 			walk(c)
 		}
 	}
 	walk(s.Root)
+	s.compileSchedule()
 	if s.sp != nil {
 		s.bindProfiler()
 	}
@@ -232,85 +260,15 @@ func (s *Sim) NumInstances() int { return len(s.nodes) }
 // Nodes returns the instances in pre-order. The slice is owned by the Sim.
 func (s *Sim) Nodes() []*Node { return s.nodes }
 
-// Settle runs the combinational fixed point. It must be called after
-// changing root inputs if outputs are read before the next Tick.
+// Settle brings every combinational value to its fixed point. It must be
+// called after changing root inputs if outputs are read before the next
+// Tick.
 func (s *Sim) Settle() error { return s.settle(nil) }
 
 // SettleProfiled is Settle with an instruction-stream profiler attached
 // — the settle-path counterpart of TickProfiled, so a profiled session
-// never has to fall back to the unprofiled fixed point.
+// never has to fall back to the unprofiled settle.
 func (s *Sim) SettleProfiled(prof vm.Profiler) error { return s.settle(prof) }
-
-func (s *Sim) settle(prof vm.Profiler) error {
-	if s.settled {
-		return nil
-	}
-	s.settled = true
-	s.cSettleCalls.Inc()
-	if s.allDirty {
-		for _, n := range s.nodes {
-			n.dirty = true
-		}
-		s.allDirty = false
-	}
-	// Each pass has two phases. Eval: dirty instances re-run their comb
-	// programs. Copy: port values move across module boundaries (parents
-	// first, so downward chains and sibling-to-sibling forwarding traverse
-	// multiple hops per pass); a changed copy dirties the receiving
-	// instance. The fixed point is reached when a copy phase moves nothing
-	// — then every instance's inputs already matched its neighbours'
-	// outputs when it last evaluated.
-	for pass := 0; pass < s.MaxSettle; pass++ {
-		for _, n := range s.nodes {
-			if !n.dirty {
-				continue
-			}
-			n.dirty = false
-			if sp := s.sp; sp != nil {
-				t0 := sp.SampleStart()
-				if prof == nil {
-					n.Inst.RunComb(&s.Stats)
-				} else {
-					n.Inst.RunCombProfiled(&s.Stats, prof)
-				}
-				sp.CombDone(n.idx, t0)
-			} else if prof == nil {
-				n.Inst.RunComb(&s.Stats)
-			} else {
-				n.Inst.RunCombProfiled(&s.Stats, prof)
-			}
-		}
-		changed := false
-		for _, n := range s.nodes {
-			for ci, spec := range n.Obj.Children {
-				child := n.Children[ci]
-				for _, b := range spec.Binds {
-					port := child.Obj.Ports[b.ChildPort]
-					if port.Dir == vm.In {
-						v := n.Inst.Slots[b.ParentSlot] & port.Mask
-						if child.Inst.Slots[port.Slot] != v {
-							child.Inst.Slots[port.Slot] = v
-							child.dirty = true
-							changed = true
-						}
-					} else {
-						v := child.Inst.Slots[port.Slot]
-						if n.Inst.Slots[b.ParentSlot] != v {
-							n.Inst.Slots[b.ParentSlot] = v
-							n.dirty = true
-							changed = true
-						}
-					}
-				}
-			}
-		}
-		if !changed {
-			s.cSettlePasses.Add(uint64(pass + 1))
-			return nil
-		}
-	}
-	return fmt.Errorf("combinational settle did not converge after %d passes (cross-module loop?)", s.MaxSettle)
-}
 
 // Tick advances the simulation n cycles.
 func (s *Sim) Tick(n int) error { return s.tick(n, nil) }
@@ -328,14 +286,8 @@ func (s *Sim) tick(n int, prof vm.Profiler) error {
 		for _, nd := range s.nodes {
 			if sp := s.sp; sp != nil {
 				t0 := sp.SampleStart()
-				if prof == nil {
-					nd.Inst.RunSeq(&s.Stats)
-				} else {
-					nd.Inst.RunSeqProfiled(&s.Stats, prof)
-				}
+				nd.Inst.RunSeqProfiled(&s.Stats, prof)
 				sp.SeqDone(nd.idx, t0)
-			} else if prof == nil {
-				nd.Inst.RunSeq(&s.Stats)
 			} else {
 				nd.Inst.RunSeqProfiled(&s.Stats, prof)
 			}
@@ -430,7 +382,9 @@ func (s *Sim) Peek(path string) (uint64, error) {
 	return 0, fmt.Errorf("no signal %q in %s", sig, node.Path)
 }
 
-// Poke writes a named register or wire at a hierarchical path.
+// Poke writes a named register or wire at a hierarchical path. A poke
+// into a slot that a port connection drives lasts only until the next
+// settle, which copies the driving value back over it.
 func (s *Sim) Poke(path string, v uint64) error {
 	node, sig, err := s.splitSignalPath(path)
 	if err != nil {
@@ -440,7 +394,9 @@ func (s *Sim) Poke(path string, v uint64) error {
 		if d.Name == sig {
 			node.Inst.Slots[d.Slot] = v & vm.Mask(d.Bits)
 			s.settled = false
-			node.dirty = true
+			// The slot may be any wire's source or destination, so
+			// every instance re-evaluates and re-copies its wires.
+			s.allDirty = true
 			return nil
 		}
 	}

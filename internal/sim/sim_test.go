@@ -412,3 +412,111 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Error("no ops counted")
 	}
 }
+
+const drivenSrc = `
+module leaf (input clk, input [7:0] d, output [7:0] q);
+  assign q = d + 1;
+endmodule
+module top (input clk, input [7:0] x, output [7:0] y);
+  wire [7:0] m;
+  leaf u0 (.clk(clk), .d(x), .q(m));
+  leaf u1 (.clk(clk), .d(m), .q(y));
+endmodule
+`
+
+// TestPokeDrivenSlotReverts: a poke into a slot that a port connection
+// drives lasts only until the next settle, which copies the driving
+// value back — for a child input driven by its parent and for a parent
+// slot driven by a child output alike.
+func TestPokeDrivenSlotReverts(t *testing.T) {
+	objs, top := buildDesign(t, drivenSrc, "top", codegen.StyleGrouped)
+	s, err := New(tableResolver(objs), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetIn("x", 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sig := range []string{"top.u1.d", "top.m"} {
+		if err := s.Poke(sig, 99); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := s.Peek(sig); v != 99 {
+			t.Fatalf("%s reads %d right after the poke, want 99", sig, v)
+		}
+		if err := s.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := s.Peek(sig); v != 11 {
+			t.Errorf("%s = %d after settle, want the driven 11", sig, v)
+		}
+		if y, _ := s.Out("y"); y != 12 {
+			t.Errorf("after poking %s: y = %d, want 12", sig, y)
+		}
+	}
+}
+
+// TestReloadRecomputesCombSensitivity: v1's comb program reads only the
+// register, so its input d matters to seq alone. v2's comb reads d too.
+// After the swap, a change of d must reach the output at the next Settle
+// with no Tick, which needs the schedule's comb-read sets recomputed.
+func TestReloadRecomputesCombSensitivity(t *testing.T) {
+	const v1 = `
+module c (input clk, input [7:0] d, output reg [7:0] q, output [7:0] o);
+  always @(posedge clk) q <= d;
+  assign o = q;
+endmodule
+module top (input clk, input [7:0] x, output [7:0] y);
+  wire [7:0] q;
+  c u (.clk(clk), .d(x), .q(q), .o(y));
+endmodule
+`
+	v2 := strings.Replace(v1, "assign o = q;", "assign o = q ^ d;", 1)
+	objs1, top := buildDesign(t, v1, "top", codegen.StyleGrouped)
+	objs2, _ := buildDesign(t, v2, "top", codegen.StyleGrouped)
+	current := objs1
+	s, err := New(ResolverFunc(func(key string) (*vm.Object, error) {
+		if o, ok := current[key]; ok {
+			return o, nil
+		}
+		return nil, fmt.Errorf("no object %q", key)
+	}), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetIn("x", 5)
+	if err := s.Tick(1); err != nil {
+		t.Fatal(err)
+	}
+	s.SetIn("x", 6)
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if y, _ := s.Out("y"); y != 5 {
+		t.Fatalf("v1: y = %d, want q = 5", y)
+	}
+
+	current = objs2
+	if n, err := s.Reload("c", nil); err != nil || n != 1 {
+		t.Fatalf("reload: %d instances, %v", n, err)
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if y, _ := s.Out("y"); y != 5^6 {
+		t.Fatalf("v2 after reload: y = %d, want %d", y, 5^6)
+	}
+	s.SetIn("x", 9)
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if y, _ := s.Out("y"); y != 5^9 {
+		t.Errorf("v2 after an input change: y = %d, want %d (stale comb-read set?)", y, 5^9)
+	}
+	if s.Cycle() != 1 {
+		t.Errorf("cycle %d, want 1 (no tick after the reload)", s.Cycle())
+	}
+}

@@ -132,6 +132,20 @@ func (s *Sim) RestoreAdapted(st *State, xfer func(n *Node, ns *NodeState) error)
 	return nil
 }
 
+// ZeroState puts every instance into its power-on state (registers,
+// wires and memories cleared, constants reapplied) and rewinds to cycle
+// 0, so the next settle evaluates the whole design as New's first one
+// does.
+func (s *Sim) ZeroState() {
+	for _, n := range s.nodes {
+		n.Inst.ZeroState()
+	}
+	s.cycle = 0
+	s.finished = false
+	s.settled = false
+	s.allDirty = true
+}
+
 // SetCycle overrides the cycle counter (used by session-level replay).
 func (s *Sim) SetCycle(c uint64) { s.cycle = c }
 
@@ -153,10 +167,6 @@ func (s *Sim) Reload(key string, migrate MigrateFunc) (int, error) {
 	newObj, err := s.resolver.Object(key)
 	if err != nil {
 		return 0, err
-	}
-	if newObj.BaseAddr == 0 {
-		newObj.BaseAddr = s.codeBase
-		s.codeBase += uint64(newObj.CodeBytes()+4095) &^ 4095
 	}
 	count := 0
 	var walk func(n *Node) error

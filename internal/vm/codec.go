@@ -22,8 +22,7 @@ func (e *objEncoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// EncodeObject serializes an object (BaseAddr, a load-time property, is
-// not included).
+// EncodeObject serializes an object.
 func EncodeObject(o *Object) []byte {
 	e := &objEncoder{buf: make([]byte, 0, 1024+InstrBytes*(len(o.Comb)+len(o.Seq)))}
 	e.u32(objMagic)

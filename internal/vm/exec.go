@@ -35,7 +35,7 @@ func (s *Stats) Add(other Stats) {
 // synchronously on the executing goroutine, once per instruction in
 // program order, with Data calls for an instruction following its Instr
 // call; implementations must be fast and must not re-enter the instance.
-// Code addresses are Object.BaseAddr-relative modeled addresses (one
+// Code addresses are Instance.CodeBase-relative modeled addresses (one
 // instruction = InstrBytes); data addresses come from Instance.DataBase
 // and Instance.MemBases. A nil Profiler selects the unprofiled fast
 // path; this interface costs the hot loop nothing when unused.
@@ -65,8 +65,14 @@ type Instance struct {
 	Slots []uint64
 	Mems  [][]uint64
 
-	// DataBase is the modeled base address of the slot array; memory m
-	// is modeled at MemBases[m]. Used only by profiled runs.
+	// CodeBase is the modeled load address of the object's code: where
+	// the dynamic linker would have mapped the shared library. The host
+	// I-cache model keys on it. The loader (sim.Sim, flatsim) assigns it
+	// per instance, so a compiled Object shared by concurrent simulations
+	// is never written. DataBase is the modeled base address of the slot
+	// array; memory m is modeled at MemBases[m]. All three are used only
+	// by profiled runs.
+	CodeBase uint64
 	DataBase uint64
 	MemBases []uint64
 
@@ -159,14 +165,16 @@ func (in *Instance) Commit() bool {
 	return changed
 }
 
-// RunCombProfiled is RunComb with a profiler attached.
+// RunCombProfiled is RunComb with a profiler attached; a nil p runs
+// exactly as RunComb.
 func (in *Instance) RunCombProfiled(st *Stats, p Profiler) {
-	in.exec(in.Obj.Comb, st, p, in.Obj.BaseAddr)
+	in.exec(in.Obj.Comb, st, p, in.CodeBase)
 }
 
-// RunSeqProfiled is RunSeq with a profiler attached.
+// RunSeqProfiled is RunSeq with a profiler attached; a nil p runs
+// exactly as RunSeq.
 func (in *Instance) RunSeqProfiled(st *Stats, p Profiler) {
-	in.runSeq(st, p, in.Obj.BaseAddr+uint64(len(in.Obj.Comb)*InstrBytes))
+	in.runSeq(st, p, in.CodeBase+uint64(len(in.Obj.Comb)*InstrBytes))
 }
 
 // exec interprets code against the instance state. base is the modeled

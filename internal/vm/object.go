@@ -106,12 +106,6 @@ type Object struct {
 	// Debug names slots for tracing and state transforms.
 	Debug []SlotDebug
 
-	// BaseAddr is the modeled load address of this object's code, assigned
-	// by the loader. It stands in for where the dynamic linker would have
-	// mapped the shared library; the host I-cache model keys on it. Not
-	// part of the content hash.
-	BaseAddr uint64
-
 	hash string
 }
 
@@ -148,6 +142,47 @@ func (o *Object) MemByName(name string) *Mem {
 // CodeBytes returns the size in bytes of the object's code, as the host
 // cache model sees it. Each instruction occupies InstrBytes.
 func (o *Object) CodeBytes() int { return (len(o.Comb) + len(o.Seq)) * InstrBytes }
+
+// CombReads reports, per slot, whether the combinational program may read
+// it. A slot the program never reads cannot change its outputs, so the
+// simulation kernel copies values into such a slot without re-evaluating
+// the instance. The result is computed on every call and not cached: an
+// Object is shared by concurrent simulations and is never written after
+// compilation.
+func (o *Object) CombReads() []bool {
+	r := make([]bool, o.NumSlots)
+	mark := func(s uint32) {
+		if s < o.NumSlots {
+			r[s] = true
+		}
+	}
+	for _, in := range o.Comb {
+		switch in.Op {
+		case OpNop, OpConst, OpJmp, OpFinish:
+		case OpMove, OpNot, OpNeg, OpSext, OpRedOr, OpRedAnd, OpRedXor,
+			OpAndImm, OpOrImm, OpShlImm, OpShrImm, OpEqImm, OpJz, OpJnz, OpMemRd:
+			mark(in.A)
+		case OpMemWr:
+			mark(in.A)
+			mark(in.C)
+		case OpDisplay:
+			if int(in.Imm) < len(o.Displays) {
+				for _, a := range o.Displays[in.Imm].Args {
+					mark(a)
+				}
+			}
+		case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor,
+			OpShl, OpShr, OpSshr, OpEq, OpNe, OpLtU, OpLeU, OpLtS, OpLeS:
+			mark(in.A)
+			mark(in.B)
+		default: // OpMux, and conservatively any op added later
+			mark(in.A)
+			mark(in.B)
+			mark(in.C)
+		}
+	}
+	return r
+}
 
 // InstrBytes is the modeled encoded size of one instruction as the host
 // cache model sees it. Native simulator code averages a handful of bytes

@@ -273,11 +273,6 @@ func TestHashStableAndSensitive(t *testing.T) {
 	if c.Hash() == a.Hash() {
 		t.Error("different code must hash differently")
 	}
-	d := buildALUObject()
-	d.BaseAddr = 0x1000
-	if d.Hash() != a.Hash() {
-		t.Error("BaseAddr must not affect the content hash")
-	}
 }
 
 func TestValidateCatchesBadObjects(t *testing.T) {
@@ -340,8 +335,8 @@ func (p *countingProfiler) Data(addr uint64, write bool) {
 
 func TestProfiledRun(t *testing.T) {
 	obj := buildCounterObject()
-	obj.BaseAddr = 0x400000
 	inst := NewInstance(obj)
+	inst.CodeBase = 0x400000
 	inst.DataBase = 0x10000
 	inst.Slots[0] = 1
 	var st Stats
@@ -425,5 +420,33 @@ func TestObjectLookups(t *testing.T) {
 	}
 	if obj.CodeBytes() != 2*InstrBytes {
 		t.Errorf("CodeBytes %d", obj.CodeBytes())
+	}
+}
+
+// TestCombReads: only operand slots count as reads — not destinations,
+// immediates, jump targets, literal shift amounts or memory indices —
+// and $display arguments do.
+func TestCombReads(t *testing.T) {
+	obj := &Object{
+		Key:      "reads",
+		NumSlots: 12,
+		Mems:     []Mem{{Name: "m", Index: 0, Depth: 4, Mask: 0xff}},
+		Displays: []Display{{Format: "%d", Args: []uint32{11}}},
+		Comb: []Instr{
+			{Op: OpAdd, Dst: 2, A: 0, B: 1},
+			{Op: OpShlImm, Dst: 3, A: 2, B: 9},
+			{Op: OpJz, A: 4, B: 7},
+			{Op: OpMux, Dst: 5, A: 6, B: 7, C: 8},
+			{Op: OpMemRd, Dst: 9, A: 10, B: 0},
+			{Op: OpConst, Dst: 1, Imm: 5},
+			{Op: OpDisplay, Imm: 0},
+		},
+	}
+	got := obj.CombReads()
+	want := map[int]bool{0: true, 1: true, 2: true, 4: true, 6: true, 7: true, 8: true, 10: true, 11: true}
+	for s := range got {
+		if got[s] != want[s] {
+			t.Errorf("slot %d: read %v, want %v", s, got[s], want[s])
+		}
 	}
 }
